@@ -33,10 +33,10 @@ fn bench_build_parallel(c: &mut Criterion) {
             b.iter(|| {
                 let registry = obs::Registry::new();
                 let shard = registry.shard();
-                let idx = TreePiIndex::build_with_threads_obs(
+                let idx = TreePiIndex::build_with_pool_obs(
                     db.clone(),
                     TreePiParams::default(),
-                    threads,
+                    &graph_core::par::Pool::new(threads),
                     &shard,
                 );
                 registry.absorb(shard);

@@ -8,17 +8,15 @@
 //! - `treepi_batch`: the default entry point (transient pool per batch);
 //! - `treepi_batch_metered`: same with an enabled `obs::Registry`, bounding
 //!   instrumentation overhead;
-//! - `treepi_batch_scoped`: the retired scoped-thread implementation
-//!   (`treepi::scoped_ref`), the pre-pool baseline;
 //! - `treepi_batch_pooled`: a persistent [`treepi::Engine`] reused across
 //!   iterations — what a serving process pays per batch;
 //! - `gindex_batch`: the gIndex baseline on the shared pool path.
 //!
 //! Besides the human-readable criterion report, a measurement run (not
-//! `cargo test`'s `--test` smoke mode) re-times the scoped/pooled/gindex
-//! series standalone and rewrites `BENCH_query_parallel.json` at the repo
-//! root with per-series median ns/query, so pooled-vs-scoped numbers are
-//! machine-checkable without parsing bench stdout.
+//! `cargo test`'s `--test` smoke mode) re-times the pooled/gindex series
+//! standalone and rewrites `BENCH_query_parallel.json` at the repo root
+//! with per-series median ns/query, so the numbers are machine-checkable
+//! without parsing bench stdout.
 
 use bench::{chem_db, gindex_index, queries, treepi_index};
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -59,22 +57,6 @@ fn bench_query_parallel(c: &mut Criterion) {
                     let set = registry.drain();
                     results.iter().map(|r| r.matches.len()).sum::<usize>()
                         + set.counter(obs::names::ANSWERS) as usize
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("treepi_batch_scoped", threads),
-            &qs,
-            |b, qs| {
-                b.iter(|| {
-                    let (results, _) = treepi::scoped_ref::query_batch_scoped(
-                        &tp,
-                        qs,
-                        QueryOptions::default(),
-                        threads,
-                        9,
-                    );
-                    results.iter().map(|r| r.matches.len()).sum::<usize>()
                 })
             },
         );
@@ -130,20 +112,6 @@ fn emit_json() {
 
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        rows.push((
-            "treepi_batch_scoped",
-            threads,
-            median_ns_per_query(RUNS, qs.len(), || {
-                let (r, _) = treepi::scoped_ref::query_batch_scoped(
-                    &tp,
-                    &qs,
-                    QueryOptions::default(),
-                    threads,
-                    9,
-                );
-                criterion::black_box(r.len());
-            }),
-        ));
         let engine = treepi::Engine::new(tp, threads);
         rows.push((
             "treepi_batch_pooled",

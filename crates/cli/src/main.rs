@@ -608,7 +608,8 @@ fn run() -> Result<(), String> {
             let db = read_graphs_file(db_path)?;
             let queries = read_graphs_file(q_path)?;
             let threads = parse_flag(&args, "--threads", 0usize)?;
-            let all = graph_core::par::ordered_map(&queries, threads, |q| {
+            let pool = graph_core::par::Pool::new(threads);
+            let all = pool.ordered_map(&queries, |q| {
                 db.iter()
                     .enumerate()
                     .filter(|(_, g)| graph_core::is_subgraph_isomorphic(q, g))

@@ -4,7 +4,8 @@
 //! [`graph_core::par::Pool`] whose workers are spawned once and reused
 //! across every batch ([`Engine::query_batch`]). The convenience
 //! [`TreePiIndex::query_batch`] entry points build a transient pool per
-//! call — identical results, just without the reuse.
+//! call — identical results, just without the reuse. Both run the same
+//! batch loop on the same substrate; there is no other execution path.
 //!
 //! The determinism contract (see DESIGN.md, "Parallel query engine"):
 //!
@@ -16,9 +17,9 @@
 //!   and neither consumes randomness.
 //!
 //! Together these make batch results bit-identical for any pool size,
-//! including 1 — verified by unit tests here, property tests in
-//! `tests/prop.rs` and `tests/pool_prop.rs` (which also pin equality
-//! against the scoped reference path in [`crate::scoped_ref`]).
+//! including 1 — verified by unit tests here and property tests in
+//! `tests/prop.rs` and `tests/pool_prop.rs` (which also pin every answer
+//! to the brute-force [`crate::scan_support`] oracle).
 //!
 //! Scheduling is work-stealing-lite: seats pull the next query index from
 //! a shared atomic counter, so long-running queries don't stall a statically
@@ -49,17 +50,6 @@ pub fn query_rng(seed: u64, i: usize) -> ChaCha8Rng {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     ChaCha8Rng::seed_from_u64(z ^ (z >> 31))
-}
-
-/// Resolve a `threads` argument: `0` means all available parallelism.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
 }
 
 impl TreePiIndex {
@@ -99,7 +89,7 @@ impl TreePiIndex {
         seed: u64,
         registry: &obs::Registry,
     ) -> (Vec<QueryResult>, WorkloadSummary) {
-        let pool = Pool::new(resolve_threads(threads));
+        let pool = Pool::new(threads);
         batch_on_pool(self, queries, opts, &pool, seed, registry)
     }
 }
@@ -376,7 +366,7 @@ impl Engine {
         let next_gid = index.db().len() as u32;
         let shared = Arc::new(EngineShared {
             current: Mutex::new(Arc::new(index)),
-            pool: Pool::new(resolve_threads(threads)),
+            pool: Pool::new(threads),
             maint: Mutex::new(MaintState {
                 queue: Vec::new(),
                 overlay: FxHashMap::default(),
@@ -720,6 +710,7 @@ fn remine_loop(shared: &EngineShared) {
 mod tests {
     use super::*;
     use crate::params::TreePiParams;
+    use crate::resolve_threads;
     use crate::verify::scan_support;
     use graph_core::graph_from;
 

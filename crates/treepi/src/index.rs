@@ -143,51 +143,27 @@ fn extract_feature(
 
 impl TreePiIndex {
     /// Build the index over `db` (paper §4: mine → shrink → store
-    /// supports and center positions). Center extraction fans out over all
-    /// available cores.
+    /// supports and center positions) on all available cores.
     pub fn build(db: Vec<Graph>, params: TreePiParams) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::build_with_threads(db, params, threads)
+        Self::build_with_threads(db, params, 0)
     }
 
-    /// [`Self::build`] with an explicit worker count (1 = fully
-    /// sequential; useful for benchmarking the parallel speedup).
+    /// [`Self::build`] on one [`graph_core::par::Pool`] of `threads`
+    /// workers (`0` = available parallelism, 1 = fully sequential). The
+    /// built index is identical at any `threads`.
     pub fn build_with_threads(db: Vec<Graph>, params: TreePiParams, threads: usize) -> Self {
-        Self::build_with_threads_obs(db, params, threads, &obs::Shard::disabled())
+        let pool = graph_core::par::Pool::new(threads);
+        Self::build_with_pool_obs(db, params, &pool, &obs::Shard::disabled())
     }
 
-    /// [`Self::build`] recording build metrics into `shard`: `build.mine` /
-    /// `build.shrink` / `build.centers` stage spans, the miner's per-level
-    /// candidate and pruned-by-support counters (`mine.level{N}.*`, via
-    /// [`mining::mine_frequent_trees_obs`]), and final index-shape counters
-    /// (`build.*`). Center extraction fans out over all available cores.
-    pub fn build_obs(db: Vec<Graph>, params: TreePiParams, shard: &obs::Shard) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::build_with_threads_obs(db, params, threads, shard)
-    }
-
-    /// [`Self::build_obs`] with an explicit worker count, used for both the
-    /// mining and the center-extraction stage. Spins up one
-    /// [`graph_core::par::Pool`] and runs the entire build on it via
-    /// [`Self::build_with_pool_obs`].
-    pub fn build_with_threads_obs(
-        db: Vec<Graph>,
-        params: TreePiParams,
-        threads: usize,
-        shard: &obs::Shard,
-    ) -> Self {
-        let pool = graph_core::par::Pool::new(threads.max(1));
-        Self::build_with_pool_obs(db, params, &pool, shard)
-    }
-
-    /// [`Self::build_obs`] on a caller-owned worker pool: every stage
-    /// (mining levels, canonical-string passes, shrinking, center
-    /// extraction) dispatches onto `pool`, so one set of worker threads is
-    /// reused across the whole build instead of re-spawning per stage.
+    /// [`Self::build`] on a caller-owned worker pool, recording build
+    /// metrics into `shard`: `build.mine` / `build.shrink` /
+    /// `build.centers` / `build.sigs` stage spans, the miner's per-level
+    /// candidate and pruned-by-support counters (`mine.level{N}.*`), and
+    /// final index-shape counters (`build.*`). Every stage (mining levels,
+    /// canonical-string passes, shrinking, center extraction) dispatches
+    /// onto `pool`, so one set of worker threads is reused across the whole
+    /// build instead of re-spawning per stage.
     /// Parallel workers record into [`obs::Shard::fork`]s merged after the
     /// join, and the miner's merge is canonical (see
     /// [`mining::mine_frequent_trees_pool_obs`]), so the built index and

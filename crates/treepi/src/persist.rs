@@ -18,7 +18,10 @@
 //!
 //! The trie is rebuilt from the canonical strings on load; build stats are
 //! restored verbatim. Everything is length-prefixed and validated, so a
-//! truncated or corrupted file yields an error, never a bad index.
+//! truncated or corrupted file yields an error, never a bad index: counts
+//! never size an allocation beyond what the remaining bytes could hold,
+//! and every center entry must name a stored graph and a vertex or edge
+//! inside it.
 //!
 //! Version 2 appends the maintenance epoch. Epoch-keyed result caches
 //! survive across save/load boundaries only if the epoch does too: were a
@@ -49,6 +52,15 @@ const MAGIC: &[u8; 4] = b"TPI3";
 const MAGIC_V2: &[u8; 4] = b"TPI2";
 /// Version 1, recognized only to produce a better error.
 const MAGIC_V1: &[u8; 4] = b"TPI1";
+
+/// Smallest encodings of the records whose counts are read from disk: a
+/// graph (vertex and edge counts), a feature (empty graph, canon, and
+/// support), and a center position (tag and id). Capacities are clamped
+/// to what the remaining bytes could hold, so a corrupt count cannot
+/// trigger a huge allocation before the truncation check fails.
+const MIN_GRAPH_BYTES: usize = 8;
+const MIN_FEATURE_BYTES: usize = MIN_GRAPH_BYTES + 8;
+const CENTER_POS_BYTES: usize = 5;
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(
@@ -129,15 +141,17 @@ fn put_center_pos(buf: &mut Vec<u8>, p: CenterPos) {
     }
 }
 
-fn get_center_pos(buf: &mut &[u8]) -> io::Result<CenterPos> {
-    if buf.remaining() < 5 {
+/// Read one center position of graph `g`, rejecting ids outside it.
+fn get_center_pos(buf: &mut &[u8], g: &Graph) -> io::Result<CenterPos> {
+    if buf.remaining() < CENTER_POS_BYTES {
         return Err(bad("truncated center position"));
     }
     let tag = buf.get_u8();
     let id = buf.get_u32_le();
     match tag {
-        0 => Ok(CenterPos::Vertex(VertexId(id))),
-        1 => Ok(CenterPos::Edge(EdgeId(id))),
+        0 if (id as usize) < g.vertex_count() => Ok(CenterPos::Vertex(VertexId(id))),
+        1 if (id as usize) < g.edge_count() => Ok(CenterPos::Edge(EdgeId(id))),
+        0 | 1 => Err(bad("center position outside its graph")),
         _ => Err(bad("unknown center-position tag")),
     }
 }
@@ -269,7 +283,7 @@ impl TreePiIndex {
             return Err(bad("truncated db count"));
         }
         let n_db = buf.get_u32_le() as usize;
-        let mut db = Vec::with_capacity(n_db);
+        let mut db = Vec::with_capacity(n_db.min(buf.remaining() / MIN_GRAPH_BYTES));
         for _ in 0..n_db {
             db.push(get_graph(&mut buf)?);
         }
@@ -282,7 +296,7 @@ impl TreePiIndex {
             return Err(bad("truncated feature count"));
         }
         let n_features = buf.get_u32_le() as usize;
-        let mut features = Vec::with_capacity(n_features);
+        let mut features = Vec::with_capacity(n_features.min(buf.remaining() / MIN_FEATURE_BYTES));
         let mut trie = CanonTrie::new();
         for i in 0..n_features {
             let tg = get_graph(&mut buf)?;
@@ -315,10 +329,14 @@ impl TreePiIndex {
                     return Err(bad("truncated center entry"));
                 }
                 let gid = buf.get_u32_le();
+                let g = db
+                    .get(gid as usize)
+                    .ok_or_else(|| bad("center entry references unknown graph"))?;
                 let n_pos = buf.get_u32_le() as usize;
-                let mut positions = Vec::with_capacity(n_pos);
+                let mut positions =
+                    Vec::with_capacity(n_pos.min(buf.remaining() / CENTER_POS_BYTES));
                 for _ in 0..n_pos {
-                    positions.push(get_center_pos(&mut buf)?);
+                    positions.push(get_center_pos(&mut buf, g)?);
                 }
                 per_graph.insert(gid, positions);
             }
@@ -543,6 +561,51 @@ mod tests {
         for cut in (0..bytes.len()).step_by(7) {
             let r = TreePiIndex::load(&mut &bytes[..cut]);
             assert!(r.is_err(), "accepted a {cut}-byte prefix");
+        }
+    }
+
+    /// Load `bytes`, which must be rejected with an `InvalidData` error
+    /// mentioning `what`.
+    fn assert_rejected(bytes: &[u8], what: &str) {
+        match TreePiIndex::load(&mut &bytes[..]) {
+            Ok(_) => panic!("corrupt file loaded (expected {what:?})"),
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert!(e.to_string().contains(what), "{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_huge_count_with_tiny_body() {
+        let mut bytes = Vec::new();
+        sample_index().save(&mut bytes).unwrap();
+        // Magic plus params is 53 bytes; the database count follows. A
+        // count of u32::MAX with nothing behind it must fail the
+        // truncation check, not abort on a huge up-front allocation.
+        bytes.truncate(53);
+        bytes.put_u32_le(u32::MAX);
+        assert_rejected(&bytes, "truncated graph header");
+    }
+
+    #[test]
+    fn rejects_center_entries_outside_the_database() {
+        let base = sample_index();
+        let gid = *base.centers[0].keys().next().expect("a center entry");
+        let n = base.db()[gid as usize].vertex_count() as u32;
+        let m = base.db()[gid as usize].edge_count() as u32;
+        let n_db = base.db().len() as u32;
+        let cases = [
+            (gid, CenterPos::Vertex(VertexId(n)), "outside its graph"),
+            (gid, CenterPos::Edge(EdgeId(m)), "outside its graph"),
+            (n_db, CenterPos::Vertex(VertexId(0)), "unknown graph"),
+        ];
+        for (at, pos, what) in cases {
+            let mut idx = base.clone();
+            idx.centers[0].insert(at, vec![pos]);
+            let mut bytes = Vec::new();
+            idx.save(&mut bytes).unwrap();
+            assert_rejected(&bytes, what);
         }
     }
 

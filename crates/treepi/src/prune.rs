@@ -243,73 +243,13 @@ pub fn center_prune_obs(
         .collect()
 }
 
-/// [`center_prune`] split across `threads` workers. Each candidate's CDC
-/// test is independent (every worker builds its own `DistanceOracle` per
-/// graph), so the set is chunked contiguously and the per-chunk results are
-/// concatenated in chunk order — the output is exactly `center_prune`'s.
-pub fn center_prune_threaded(
-    index: &TreePiIndex,
-    q: &Graph,
-    pq: &[u32],
-    parts: &[Part],
-    dq: &[Vec<u32>],
-    threads: usize,
-) -> Vec<u32> {
-    center_prune_threaded_obs(index, q, pq, parts, dq, threads, &obs::Shard::disabled())
-}
-
-/// [`center_prune_threaded`] with metrics: each worker records into a
-/// [`obs::Shard::fork`] of `shard`, merged back after the join, so counter
-/// totals are identical to the sequential run for any `threads`.
-///
-/// This is the *scoped reference* implementation (spawn per stage); the
-/// serving path dispatches through [`center_prune_pool_obs`] instead. The
-/// two share chunking and merge order, so their outputs are identical.
-pub fn center_prune_threaded_obs(
-    index: &TreePiIndex,
-    q: &Graph,
-    pq: &[u32],
-    parts: &[Part],
-    dq: &[Vec<u32>],
-    threads: usize,
-    shard: &obs::Shard,
-) -> Vec<u32> {
-    // Query signatures are computed once and shared read-only by every
-    // worker — they depend only on q.
-    let qsigs = sig::graph_sigs(q);
-    let threads = threads.clamp(1, pq.len().max(1));
-    if threads == 1 {
-        return center_prune_obs(index, &qsigs, pq, parts, dq, shard);
-    }
-    let chunk_size = pq.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = pq
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let worker = shard.fork();
-                let qsigs = &qsigs;
-                s.spawn(move || {
-                    let kept = center_prune_obs(index, qsigs, chunk, parts, dq, &worker);
-                    (kept, worker)
-                })
-            })
-            .collect();
-        let mut out = Vec::new();
-        for h in handles {
-            let (kept, worker) = h.join().expect("prune worker panicked");
-            out.extend(kept);
-            shard.merge(worker);
-        }
-        out
-    })
-}
-
-/// [`center_prune_threaded_obs`] dispatched on a persistent
-/// [`graph_core::par::Pool`] instead of freshly spawned scoped threads:
-/// the candidate set is chunked contiguously into up to `threads` pool
-/// seats (`Pool::fork_join_obs`, shard forks merged in rank order), so the
-/// output and every merged counter are bit-identical to the scoped and
-/// serial paths.
+/// [`center_prune`] dispatched on `pool`, recording into `shard`: the
+/// candidate set is chunked contiguously into up to `threads` pool seats
+/// (`Pool::fork_join_obs`, each seat on a shard fork merged back in rank
+/// order), and the per-chunk results are concatenated in chunk order. Each
+/// candidate's CDC test is independent (every seat builds its own
+/// `DistanceOracle` per graph), so the output and every merged counter are
+/// exactly `center_prune`'s at any `threads` and pool size.
 #[allow(clippy::too_many_arguments)]
 pub fn center_prune_pool_obs(
     index: &TreePiIndex,

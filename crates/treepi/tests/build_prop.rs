@@ -52,13 +52,13 @@ fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Builds at 1, 2, and 8 threads serialize to identical bytes and
-    /// report identical shape counters.
+    /// Builds at 1, 2, and 8 threads — and at 0, all available cores —
+    /// serialize to identical bytes and report identical shape counters.
     #[test]
     fn build_is_thread_count_invariant(db in arb_db(10, 8)) {
         let base = TreePiIndex::build_with_threads(db.clone(), TreePiParams::quick(), 1);
         let base_bytes = save_bytes(&base);
-        for threads in [2usize, 8] {
+        for threads in [0usize, 2, 8] {
             let idx = TreePiIndex::build_with_threads(db.clone(), TreePiParams::quick(), threads);
             prop_assert_eq!(
                 &save_bytes(&idx),

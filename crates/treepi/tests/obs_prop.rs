@@ -118,10 +118,10 @@ proptest! {
         let build_metered = |threads: usize| {
             let registry = obs::Registry::new();
             let shard = registry.shard();
-            let idx = TreePiIndex::build_with_threads_obs(
+            let idx = TreePiIndex::build_with_pool_obs(
                 db.clone(),
                 TreePiParams::quick(),
-                threads,
+                &graph_core::par::Pool::new(threads),
                 &shard,
             );
             registry.absorb(shard);

@@ -1,10 +1,10 @@
 //! Pool-equivalence property tests: the persistent worker pool must be
 //! invisible in every output. On arbitrary databases and query batches, a
 //! long-lived [`treepi::Engine`] must return bit-identical results and
-//! deterministic funnel counters at 1, 2, and 8 pool workers **and**
-//! against the retired scoped-thread implementation preserved in
-//! [`treepi::scoped_ref`]; index builds dispatched onto a pool must
-//! serialize to the same bytes at any pool size. A deterministic
+//! deterministic funnel counters at 1, 2, and 8 pool workers, and every
+//! answer must equal the brute-force [`treepi::scan_support`] oracle;
+//! index builds dispatched onto a pool must serialize to the same bytes at
+//! any pool size. A deterministic
 //! re-entrancy test drives the nested-dispatch path (a pool-run query
 //! fanning its prune/verify stages back into the same pool) that the
 //! random cases rarely reach.
@@ -12,7 +12,7 @@
 use graph_core::par::Pool;
 use graph_core::{graph_from, ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use proptest::prelude::*;
-use treepi::{Engine, QueryOptions, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
+use treepi::{scan_support, Engine, QueryOptions, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
 
 /// A random connected labeled graph: random tree plus a few extra edges.
 fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
@@ -68,50 +68,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Engine batches return identical matches, stats, and deterministic
-    /// counters at 1, 2, and 8 pool workers, and match the scoped-thread
-    /// reference implementation exactly.
+    /// counters at 1, 2, and 8 pool workers, and every answer equals the
+    /// brute-force scan oracle.
     #[test]
-    fn engine_is_pool_size_invariant_and_matches_scoped(
+    fn engine_is_pool_size_invariant_and_matches_scan_oracle(
         db in arb_db(8, 7),
         queries in proptest::collection::vec(arb_connected_graph(5), 1..=6),
         seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
-
-        // Scoped reference (the pre-pool implementation, kept for exactly
-        // this comparison).
-        let scoped_registry = obs::Registry::new();
-        let (scoped, _) = treepi::scoped_ref::query_batch_scoped_obs(
-            &idx,
-            &queries,
-            QueryOptions::default(),
-            1,
-            seed,
-            &scoped_registry,
-        );
-        let scoped_det = scoped_registry.drain().deterministic_counters();
+        let truth: Vec<Vec<u32>> = queries.iter().map(|q| scan_support(&idx, q)).collect();
 
         let mut engine = Engine::new(idx, 1);
         let (base, base_metrics) = run_engine(&engine, &queries, seed);
-        for (a, b) in scoped.iter().zip(&base) {
-            prop_assert_eq!(&a.matches, &b.matches);
-            prop_assert_eq!(a.stats.filtered, b.stats.filtered);
-            prop_assert_eq!(a.stats.pruned, b.stats.pruned);
-            prop_assert_eq!(a.stats.answers, b.stats.answers);
-            prop_assert_eq!(a.stats.partition_size, b.stats.partition_size);
+        for (i, r) in base.iter().enumerate() {
+            prop_assert_eq!(&r.matches, &truth[i], "query {} at workers=1", i);
+            prop_assert_eq!(r.stats.answers, truth[i].len());
         }
         let base_det = base_metrics.deterministic_counters();
-        if obs::COMPILED_IN {
-            prop_assert_eq!(&base_det, &scoped_det);
-        }
 
         for workers in [2usize, 8] {
             engine = Engine::new(engine.into_index(), workers);
             let (results, metrics) = run_engine(&engine, &queries, seed);
-            for (a, b) in base.iter().zip(&results) {
-                prop_assert_eq!(&a.matches, &b.matches);
+            for (i, (a, b)) in base.iter().zip(&results).enumerate() {
+                prop_assert_eq!(&b.matches, &truth[i], "query {} at workers={}", i, workers);
                 prop_assert_eq!(a.stats.filtered, b.stats.filtered);
                 prop_assert_eq!(a.stats.pruned, b.stats.pruned);
+                prop_assert_eq!(a.stats.answers, b.stats.answers);
+                prop_assert_eq!(a.stats.partition_size, b.stats.partition_size);
             }
             prop_assert_eq!(
                 &metrics.deterministic_counters(),
